@@ -411,9 +411,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 // GOMAXPROCS concurrent workers, each with its own reused Scratch. The
 // read plane is an atomic pointer load plus lock-free matching into
 // pooled buffers, so throughput should scale near-linearly with the
-// worker count (the acceptance bar is >=2x at 4 workers vs 1). The mat
-// kernels are pinned to one worker so the benchmark measures
-// cross-request scaling, not intra-request fan-out.
+// worker count (the acceptance bar is >=2x at 4 workers vs 1).
 func BenchmarkLocateParallel(b *testing.B) {
 	dep, err := tafloc.NewDeployment(tafloc.SquareConfig(12))
 	if err != nil {
@@ -430,8 +428,6 @@ func BenchmarkLocateParallel(b *testing.B) {
 		p := tafloc.Point{X: 0.5 + 11.0*float64(k)/probes, Y: 0.5 + 11.0*float64((k*5)%probes)/probes}
 		ys = append(ys, dep.Channel.MeasureLive(p, 0))
 	}
-	prev := tafloc.SetWorkers(1)
-	defer tafloc.SetWorkers(prev)
 	workerSet := []int{1, 4}
 	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 4 {
 		workerSet = append(workerSet, gmp)
@@ -527,7 +523,7 @@ func BenchmarkManyZones(b *testing.B) {
 		for pb.Next() {
 			id := ids[i%zones]
 			batch := append([]tafloc.ZoneReport(nil), batches[i%preparedBatches]...)
-			for svc.Report(id, batch) != nil {
+			for svc.Ingest(id, batch) != nil {
 				time.Sleep(10 * time.Microsecond)
 			}
 			i++
@@ -604,7 +600,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			z := i % zones
 			// The service takes ownership of the slice, so hand it a copy.
 			batch := append([]tafloc.ZoneReport(nil), batches[z][i%preparedBatches]...)
-			for svc.Report(ids[z], batch) != nil {
+			for svc.Ingest(ids[z], batch) != nil {
 				time.Sleep(10 * time.Microsecond) // queue full: backpressure
 			}
 			i++
@@ -728,7 +724,7 @@ func BenchmarkManyZonesColdStart(b *testing.B) {
 		for pb.Next() {
 			id := ids[i%zones]
 			batch := append([]tafloc.ZoneReport(nil), batches[i%preparedBatches]...)
-			for svc.Report(id, batch) != nil {
+			for svc.Ingest(id, batch) != nil {
 				time.Sleep(10 * time.Microsecond)
 			}
 			i++

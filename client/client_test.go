@@ -35,7 +35,7 @@ func newFixture(t *testing.T) (*fixture, context.CancelFunc) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(serve.Config{
+	svc, err := serve.NewService(serve.Config{
 		Window:            2,
 		BatchSize:         8,
 		DetectThresholdDB: 0.25,
@@ -43,6 +43,9 @@ func newFixture(t *testing.T) (*fixture, context.CancelFunc) {
 			return newTestSystem(t, dep), nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.AddZone("z", newTestSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +326,14 @@ func TestWatchSkipsHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := serve.New(serve.Config{
+	svc, err := serve.NewService(serve.Config{
 		Window:            2,
 		DetectThresholdDB: 0.25,
 		WatchHeartbeat:    10 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.AddZone("slow", newTestSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@
 //     comparator is legal on the hot path.
 //   - amortizedGrow mirrors core.Scratch.candidates/interp, whose grow
 //     paths carry line-level //tafloc:alloc-ok markers.
-//   - capture mirrors the fanned-out ParallelFor closures in
-//     core.columnDistsInto, allowed there by the same marker.
+//   - capture is the shape a goroutine fan-out closure takes; the
+//     matchers' distance passes are plain loops, so no hot-path
+//     function carries a marker for it.
 package a
 
 import "fmt"

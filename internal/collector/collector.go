@@ -18,7 +18,6 @@ type Collector struct {
 	Store *Store
 
 	log       *slog.Logger
-	sink      func(wire.RSSReport)
 	batchSink func([]wire.RSSReport)
 	udpConn   *net.UDPConn
 	tcpLis    net.Listener
@@ -39,21 +38,14 @@ func New(m, window int, log *slog.Logger) (*Collector, error) {
 	return &Collector{Store: store, log: log}, nil
 }
 
-// SetSink registers fn to receive a copy of every successfully decoded
-// data-plane report, in addition to the store — the hook that forwards
-// measurements into the multi-zone serving layer. It must be called
-// before Start. The callback runs on the UDP read loop, so it must be
-// fast and non-blocking (e.g. enqueue into a bounded queue and shed on
-// overflow).
-func (c *Collector) SetSink(fn func(wire.RSSReport)) { c.sink = fn }
-
 // SetBatchSink registers fn to receive each datagram's successfully
-// decoded frames as one slice — the batch-preserving counterpart of
-// SetSink, made to pair with serve.IngestSink so a whole UDP batch
-// datagram travels the serving layer's shared ingest path as one batch.
-// It must be called before Start. The slice is reused between
-// datagrams: fn must not retain it past the call. Like SetSink, fn runs
-// on the UDP read loop and must be fast and non-blocking.
+// decoded frames as one slice, in addition to the store — the hook that
+// forwards measurements into the multi-zone serving layer. It pairs
+// with serve.IngestSink, so a whole UDP batch datagram travels the
+// serving layer's shared ingest path as one batch. It must be called
+// before Start. The slice is reused between datagrams: fn must not
+// retain it past the call. fn runs on the UDP read loop, so it must be
+// fast and non-blocking.
 func (c *Collector) SetBatchSink(fn func([]wire.RSSReport)) { c.batchSink = fn }
 
 // Start binds the UDP data plane and TCP control plane on the given
@@ -132,9 +124,6 @@ func (c *Collector) serveUDP() {
 				c.Store.MarkDropped()
 			} else {
 				c.Store.AddReport(&report)
-				if c.sink != nil {
-					c.sink(report)
-				}
 				if c.batchSink != nil {
 					frames = append(frames, report)
 				}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestCollectorBatchDatagramAndSink sends one concatenated-batch datagram
-// and checks every frame reaches both the store and the registered sink.
+// and checks every frame reaches both the store and the registered batch
+// sink, one sink call per datagram.
 func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	const links = 3
 	c, err := New(links, 8, nil)
@@ -20,9 +21,11 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var sunk []wire.RSSReport
-	c.SetSink(func(r wire.RSSReport) {
+	calls := 0
+	c.SetBatchSink(func(frames []wire.RSSReport) {
 		mu.Lock()
-		sunk = append(sunk, r)
+		sunk = append(sunk, frames...) // the slice is reused between datagrams
+		calls++
 		mu.Unlock()
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -50,20 +53,24 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The sink runs after the datagram's last frame reached the store,
+	// so waiting on the sink covers both.
+	sinkCalls := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return calls
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := c.Store.Stats(); st.FramesReceived == links {
-			break
-		}
+	for time.Now().Before(deadline) && sinkCalls() < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	if st := c.Store.Stats(); st.FramesReceived != links || st.FramesDropped != 0 {
 		t.Fatalf("stats after batch: %+v", st)
 	}
 	mu.Lock()
-	if len(sunk) != links {
+	if len(sunk) != links || calls != 1 {
 		mu.Unlock()
-		t.Fatalf("sink saw %d reports, want %d", len(sunk), links)
+		t.Fatalf("sink saw %d reports in %d calls, want %d in 1", len(sunk), calls, links)
 	}
 	for i, r := range sunk {
 		if int(r.LinkID) != i || r.RSS() != -40-float64(i) {
@@ -79,10 +86,7 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	for time.Now().Before(deadline) {
-		if st := c.Store.Stats(); st.FramesReceived == 2*links {
-			break
-		}
+	for time.Now().Before(deadline) && sinkCalls() < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	if st := c.Store.Stats(); st.FramesReceived != 2*links || st.FramesDropped != 1 {
@@ -90,7 +94,7 @@ func TestCollectorBatchDatagramAndSink(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sunk) != 2*links-1 {
-		t.Errorf("sink saw %d reports after corrupt batch, want %d", len(sunk), 2*links-1)
+	if len(sunk) != 2*links-1 || calls != 2 {
+		t.Errorf("sink saw %d reports in %d calls after corrupt batch, want %d in 2", len(sunk), calls, 2*links-1)
 	}
 }

@@ -410,49 +410,26 @@ func columnDist(x *mat.Matrix, j int, y []float64) float64 {
 }
 
 // columnDistsInto fills dst with the Euclidean distance from y to every
-// fingerprint column, fanning the per-cell work items out across the mat
-// worker pool when the database is large enough to pay for it. The
-// single-chunk case runs as a plain loop — no goroutines, no closure —
-// so small-database matching allocates nothing; either way every element
-// is computed with identical per-element arithmetic, so results are
-// bitwise independent of the worker count.
+// fingerprint column.
 //
-//tafloc:noalloc the FanOut gate keeps the common small-database case on the closure-free loop; only the fanned-out path pays the one closure.
+//tafloc:noalloc a plain loop over the columns: no goroutines, no closure.
 func columnDistsInto(dst []float64, x *mat.Matrix, y []float64) {
 	n := x.Cols()
-	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		for j := 0; j < n; j++ {
-			dst[j] = columnDist(x, j, y)
-		}
-		return
+	for j := 0; j < n; j++ {
+		dst[j] = columnDist(x, j, y)
 	}
-	//tafloc:alloc-ok one closure per fanned-out round, amortized over >=1 chunk of per-cell work each worth thousands of flops
-	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = columnDist(x, j, y)
-		}
-	})
 }
 
 // weightedDistsInto is columnDistsInto with per-entry inverse-variance
 // weights: wObs for observed (measured) entries, wRec for reconstructed
 // ones. A nil observed mask weighs every entry wObs.
 //
-//tafloc:noalloc same shape as columnDistsInto: closure-free unless the database is large enough to fan out.
+//tafloc:noalloc same shape as columnDistsInto.
 func weightedDistsInto(dst []float64, x, obs *mat.Matrix, y []float64, wObs, wRec float64) {
 	n := x.Cols()
-	if !mat.FanOut(n, matchChunk(x.Rows())) {
-		for j := 0; j < n; j++ {
-			dst[j] = weightedDist(x, obs, j, y, wObs, wRec)
-		}
-		return
+	for j := 0; j < n; j++ {
+		dst[j] = weightedDist(x, obs, j, y, wObs, wRec)
 	}
-	//tafloc:alloc-ok one closure per fanned-out round; see columnDistsInto
-	mat.ParallelFor(n, matchChunk(x.Rows()), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = weightedDist(x, obs, j, y, wObs, wRec)
-		}
-	})
 }
 
 func weightedDist(x, obs *mat.Matrix, j int, y []float64, wObs, wRec float64) float64 {
@@ -466,15 +443,6 @@ func weightedDist(x, obs *mat.Matrix, j int, y []float64, wObs, wRec float64) fl
 		s += w * d * d
 	}
 	return math.Sqrt(s)
-}
-
-// matchChunk sizes per-cell matching chunks: ~4 flops per link entry
-// (subtract, square, accumulate, optional weight).
-func matchChunk(links int) int {
-	if links < 1 {
-		links = 1
-	}
-	return mat.ChunkFor(4 * links)
 }
 
 func checkMatch(m *Model, y []float64) error {

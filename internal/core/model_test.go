@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -94,12 +95,11 @@ func TestLocateConsistentDuringUpdate(t *testing.T) {
 // TestLocateZeroAllocSteadyState is the acceptance pin for the scratch
 // refactor: once warmed up, nn and knn localization (both through
 // System.Locate's pooled scratch and through an explicit reused Scratch
-// on the Model) allocates nothing per call.
+// on the Model) allocates nothing per call, at the default worker count.
+// The large case is a database big enough (33 links, 2025 cells) that a
+// matcher fanning its distance pass out over goroutines would allocate.
 func TestLocateZeroAllocSteadyState(t *testing.T) {
-	// One worker keeps the distance kernel on the inline serial path —
-	// fan-out spawns goroutines, which is exactly what the guard avoids.
-	prev := mat.SetWorkers(1)
-	defer mat.SetWorkers(prev)
+	t.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 	f := newSystemFixture(t, 6)
 	y := f.dep.Channel.MeasureLive(geom.Point{X: 1.2, Y: 2.0}, 0)
 	for _, name := range []string{MatcherNN, MatcherKNN} {
@@ -112,26 +112,63 @@ func TestLocateZeroAllocSteadyState(t *testing.T) {
 		if _, err := sys.Locate(y); err != nil { // warm the scratch pool
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
+		if allocs := steadyAllocs(200, func() {
 			if _, err := sys.Locate(y); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: System.Locate allocates %.1f/op in steady state, want 0", name, allocs)
+			t.Errorf("%s: System.Locate allocates %d/op in steady state, want 0", name, allocs)
 		}
 		m := sys.Model()
 		sc := NewScratch()
-		if _, err := m.Locate(y, sc); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(200, func() {
+		if allocs := steadyAllocs(200, func() {
 			if _, err := m.Locate(y, sc); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: Model.Locate with reused scratch allocates %.1f/op, want 0", name, allocs)
+			t.Errorf("%s: Model.Locate with reused scratch allocates %d/op, want 0", name, allocs)
 		}
 	}
+
+	grid, err := geom.NewGrid(27, 27, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := NewLayout(geom.CrossedDeployment(27, 27, 33), grid, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := syntheticTruth(large, rand.New(rand.NewSource(5)))
+	ly := x.Col(1234)
+	for _, matcher := range []Matcher{NNMatcher{}, KNNMatcher{}, WeightedKNNMatcher{}} {
+		m, err := NewModel(large, x, nil, nil, nil, matcher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScratch()
+		if allocs := steadyAllocs(20, func() {
+			if _, err := m.Locate(ly, sc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%T on %d cells: Model.Locate with reused scratch allocates %d/op, want 0", matcher, large.N(), allocs)
+		}
+	}
+}
+
+// steadyAllocs is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// which would hide any allocation that only happens when work is spread
+// over several procs. Like AllocsPerRun it warms f up once and rounds the
+// per-run count down, so a stray runtime allocation does not count.
+func steadyAllocs(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // TestModelSurvivesUpdate pins the RCU contract: a Model loaded before
@@ -164,8 +201,6 @@ func TestModelSurvivesUpdate(t *testing.T) {
 // database seen and then stop allocating, across models of different
 // sizes.
 func TestScratchPoolReuse(t *testing.T) {
-	prev := mat.SetWorkers(1)
-	defer mat.SetWorkers(prev)
 	l := testLayout(t)
 	truth, _ := syntheticTruth(l, rand.New(rand.NewSource(13)))
 	m := mustModel(t, l, truth)

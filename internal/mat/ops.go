@@ -12,7 +12,7 @@ func Mul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := New(a.rows, b.cols)
-	ParallelFor(a.rows, ChunkFor(2*a.cols*b.cols), func(lo, hi int) {
+	ParallelFor(a.rows, chunkFor(2*a.cols*b.cols), func(lo, hi int) {
 		mulRange(a, b, out, lo, hi)
 	})
 	return out
@@ -49,7 +49,7 @@ func MulT(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: MulT dimension mismatch %dx%d * (%dx%d)T", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := New(a.rows, b.rows)
-	ParallelFor(a.rows, ChunkFor(2*a.cols*b.rows), func(lo, hi int) {
+	ParallelFor(a.rows, chunkFor(2*a.cols*b.rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a.data[i*a.cols : (i+1)*a.cols]
 			oi := out.data[i*out.cols:]
@@ -74,7 +74,7 @@ func TMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("mat: TMul dimension mismatch (%dx%d)T * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := New(a.cols, b.cols)
-	ParallelFor(a.cols, ChunkFor(2*a.rows*b.cols), func(lo, hi int) {
+	ParallelFor(a.cols, chunkFor(2*a.rows*b.cols), func(lo, hi int) {
 		for k := 0; k < a.rows; k++ {
 			ak := a.data[k*a.cols : (k+1)*a.cols]
 			bk := b.data[k*b.cols : (k+1)*b.cols]

@@ -50,7 +50,13 @@ func ParallelFor(n, minChunk int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	chunks := parChunks(n, minChunk)
+	if minChunk < 1 {
+		minChunk = 1
+	}
+	chunks := n / minChunk
+	if w := Workers(); chunks > w {
+		chunks = w
+	}
 	if chunks <= 1 {
 		fn(0, n)
 		return
@@ -71,39 +77,11 @@ func ParallelFor(n, minChunk int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// parChunks is the single source of the partitioning heuristic: how
-// many chunks ParallelFor splits [0, n) into under the current worker
-// setting (at least 1 for n > 0). FanOut shares it, so the two can
-// never disagree.
-func parChunks(n, minChunk int) int {
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	chunks := n / minChunk
-	if chunks < 1 {
-		chunks = 1
-	}
-	if w := Workers(); chunks > w {
-		chunks = w
-	}
-	return chunks
-}
-
-// FanOut reports whether ParallelFor would split [0, n) into more than
-// one chunk under the current worker setting. Allocation-sensitive
-// callers use it to run the single-chunk case as a plain inline loop:
-// spawning goroutines heap-allocates the loop closure, and a caller
-// that only constructs the closure inside a FanOut-guarded branch pays
-// nothing on the serial path.
-func FanOut(n, minChunk int) bool {
-	return n > 0 && parChunks(n, minChunk) > 1
-}
-
-// ChunkFor returns the minimum ParallelFor chunk length such that one
+// chunkFor returns the minimum ParallelFor chunk length such that one
 // chunk carries enough floating-point work to amortize its goroutine,
 // given the per-item flop count. It is the single fan-out granularity
-// heuristic for every parallel kernel, in this package and above it.
-func ChunkFor(flopsPerItem int) int {
+// heuristic for every parallel kernel in this package.
+func chunkFor(flopsPerItem int) int {
 	if flopsPerItem <= 0 {
 		return 1
 	}

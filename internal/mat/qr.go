@@ -60,7 +60,7 @@ func applyHouseLeft(a *Matrix, j, c0 int, tau float64) {
 		return
 	}
 	m, n := a.rows, a.cols
-	ParallelFor(n-c0, ChunkFor(4*(m-j)), func(lo, hi int) {
+	ParallelFor(n-c0, chunkFor(4*(m-j)), func(lo, hi int) {
 		for c := c0 + lo; c < c0+hi; c++ {
 			// w = vᵀ a[:,c] with v = [1, a[j+1:,j]]
 			w := a.At(j, c)

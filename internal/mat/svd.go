@@ -80,7 +80,7 @@ func SVDecompose(a *Matrix) *SVD {
 	// Singular values are the column norms of W; U = W normalized. Each
 	// column is an independent work item.
 	s := make([]float64, n)
-	ParallelFor(n, ChunkFor(2*m), func(lo, hi int) {
+	ParallelFor(n, chunkFor(2*m), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			var norm float64
 			for i := 0; i < m; i++ {
@@ -98,7 +98,7 @@ func SVDecompose(a *Matrix) *SVD {
 	u := New(m, n)
 	vOut := New(n, n)
 	sOut := make([]float64, n)
-	ParallelFor(n, ChunkFor(2*(m+n)), func(lo, hi int) {
+	ParallelFor(n, chunkFor(2*(m+n)), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := idx[k]
 			sOut[k] = s[j]

@@ -38,10 +38,12 @@
 // workers match against the same zone concurrently while LoLi-IR
 // updates swap in fresh Models underneath them (see docs/ARCHITECTURE.md).
 //
-// The matching and reconstruction work underneath is parallelized in
-// internal/mat and internal/core with GOMAXPROCS-aware worker pools, so
-// one heavy zone update uses the whole machine while the executor pool
-// keeps serving the other zones.
+// Matching runs on the executor worker that owns the locate task and
+// never spawns goroutines of its own, so the executor pool is the only
+// scheduler on the serving path. The LoLi-IR reconstruction behind a
+// zone update is parallelized in internal/mat with a GOMAXPROCS-aware
+// worker count, so one heavy update uses the whole machine while the
+// executor pool keeps serving the other zones.
 //
 // Zones are first-class at runtime: AddZone registers a zone into a
 // running service, RemoveZone quiesces and removes one (rejecting new

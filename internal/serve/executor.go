@@ -31,13 +31,14 @@ const (
 // task is one unit of executor work. Locate tasks carry the prepared
 // live vector and the partially-filled estimate by value, so queueing a
 // task allocates nothing beyond its queue slot. They also carry the
-// *core.System the fold round resolved: the zone's residency slot may
-// be evicted to nil at any moment, but a System already in flight is
-// immutable and completes its match correctly regardless.
+// *core.Model the fold round detected against: the zone's residency
+// slot may be evicted to nil and its System may publish a new Model at
+// any moment, but a Model already in flight is immutable, so the
+// round's presence verdict and position come from one calibration.
 type task struct {
 	z    *zone
 	kind taskKind
-	sys  *core.System
+	m    *core.Model
 	y    []float64
 	e    Estimate
 }

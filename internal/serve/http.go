@@ -57,7 +57,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	err := s.Report(req.Zone, req.Reports)
+	err := s.Ingest(req.Zone, req.Reports)
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusAccepted, map[string]any{"accepted": len(req.Reports)})

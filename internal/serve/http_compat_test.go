@@ -35,7 +35,7 @@ func doReq(t *testing.T, h http.Handler, method, path, body string) (int, string
 // compatibility break.
 func TestV1ResponsesFrozen(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestV1ResponsesFrozen(t *testing.T) {
 // every response carries the right status and taxonomy code.
 func TestV2ErrorPaths(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: 1})
+	svc := newTestService(t, Config{QueueDepth: 1})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestV2ErrorPaths(t *testing.T) {
 func TestV2ZoneLifecycleOverHTTP(t *testing.T) {
 	dep := testDeployment(t)
 	var factoryCalls int
-	svc := New(Config{
+	svc := newTestService(t, Config{
 		Window:            2,
 		DetectThresholdDB: 0.25,
 		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {

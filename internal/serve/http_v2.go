@@ -57,7 +57,7 @@ func (s *Service) handleReportV2(w http.ResponseWriter, r *http.Request) {
 		errorV2(w, taflocerr.Errorf(taflocerr.CodeBadRequest, "serve: bad JSON: %v", err))
 		return
 	}
-	if err := s.Report(req.Zone, req.Reports); err != nil {
+	if err := s.Ingest(req.Zone, req.Reports); err != nil {
 		errorV2(w, err)
 		return
 	}

@@ -36,7 +36,7 @@ func TestCollectorIngestSharedPath(t *testing.T) {
 	// Two identical zones on one unstarted service: "udp" is fed through
 	// the collector, "direct" through Service.Ingest. Queue depth 2 means
 	// batches 3+ shed.
-	svc := New(Config{QueueDepth: depth})
+	svc := newTestService(t, Config{QueueDepth: depth})
 	sysA, sysB := testSystem(t, dep), testSystem(t, dep)
 	if err := svc.AddZone("udp", sysA); err != nil {
 		t.Fatal(err)

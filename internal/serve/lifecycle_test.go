@@ -20,7 +20,7 @@ import (
 func TestRemoveZoneWhileIngesting(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRemoveZoneWhileIngesting(t *testing.T) {
 	}
 	waitIngest := func() {
 		for i := 0; i < 10; i++ {
-			_ = svc.Report("z", append([]Report(nil), batches[i%len(batches)]...))
+			_ = svc.Ingest("z", append([]Report(nil), batches[i%len(batches)]...))
 		}
 	}
 	waitIngest()
@@ -54,7 +54,7 @@ func TestRemoveZoneWhileIngesting(t *testing.T) {
 					return
 				default:
 				}
-				_ = svc.Report("z", append([]Report(nil), batches[(i+p)%len(batches)]...))
+				_ = svc.Ingest("z", append([]Report(nil), batches[(i+p)%len(batches)]...))
 			}
 		}(p)
 	}
@@ -62,7 +62,7 @@ func TestRemoveZoneWhileIngesting(t *testing.T) {
 	if err := svc.RemoveZone("z"); err != nil {
 		t.Fatalf("RemoveZone under fire: %v", err)
 	}
-	if err := svc.Report("z", batches[0]); !errors.Is(err, ErrUnknownZone) {
+	if err := svc.Ingest("z", batches[0]); !errors.Is(err, ErrUnknownZone) {
 		t.Errorf("report after removal: %v, want ErrUnknownZone", err)
 	}
 	if _, ok := svc.Position("z"); ok {
@@ -92,7 +92,7 @@ func TestRemoveZoneWhileIngesting(t *testing.T) {
 // terminal Final estimate followed by channel close.
 func TestWatchTerminalEvent(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 8, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 8, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWatchTerminalEvent(t *testing.T) {
 	target := geom.Point{X: 1.2, Y: 0.9}
 	go func() {
 		for i := 0; i < 30; i++ {
-			_ = svc.Report("z", targetBatch(dep, target))
+			_ = svc.Ingest("z", targetBatch(dep, target))
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -169,7 +169,7 @@ func TestWatchTerminalEvent(t *testing.T) {
 // estimates flow from the new system.
 func TestUpdateZoneSwapsSystem(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestUpdateZoneSwapsSystem(t *testing.T) {
 	}
 	target := geom.Point{X: 1.5, Y: 1.2}
 	for i := 0; i < 10; i++ {
-		_ = svc.Report("z", targetBatch(dep, target))
+		_ = svc.Ingest("z", targetBatch(dep, target))
 	}
 	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Seq > 0 })
 	received := svc.Stats()["z"].Received
@@ -202,7 +202,7 @@ func TestUpdateZoneSwapsSystem(t *testing.T) {
 		t.Errorf("counters reset by swap: received %d < %d", got, received)
 	}
 	for i := 0; i < 10; i++ {
-		_ = svc.Report("z", targetBatch(dep, target))
+		_ = svc.Ingest("z", targetBatch(dep, target))
 	}
 	select {
 	case e, open := <-ch:
@@ -230,7 +230,7 @@ func TestUpdateZoneSwapsSystem(t *testing.T) {
 // order: register everything, then Start.
 func TestAddZoneBeforeStartStillWorks(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	for i := 0; i < 3; i++ {
 		if err := svc.AddZone(fmt.Sprintf("z%d", i), testSystem(t, dep)); err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestAddZoneBeforeStartStillWorks(t *testing.T) {
 	}
 	target := geom.Point{X: 1.0, Y: 1.0}
 	for i := 0; i < 10; i++ {
-		_ = svc.Report("z1", targetBatch(dep, target))
+		_ = svc.Ingest("z1", targetBatch(dep, target))
 	}
 	waitForEstimate(t, svc, "z1", func(e Estimate) bool { return e.Seq > 0 })
 	cancel()
@@ -255,7 +255,7 @@ func TestAddZoneBeforeStartStillWorks(t *testing.T) {
 // can never run, and existing watchers are terminated.
 func TestStoppedServiceRejectsMutations(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestLifecycleHammer(t *testing.T) {
 	}
 
 	const zones = 3
-	svc := New(Config{Window: 2, QueueDepth: 16, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, QueueDepth: 16, DetectThresholdDB: 0.25})
 	ids := make([]string, zones)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("z%d", i)
@@ -70,7 +70,7 @@ func TestLifecycleHammer(t *testing.T) {
 		run(func(i int) {
 			id := ids[i%zones]
 			batch := append([]Report(nil), batches[i%len(batches)]...)
-			err := svc.Report(id, batch)
+			err := svc.Ingest(id, batch)
 			if err != nil && !errors.Is(err, ErrUnknownZone) && !errors.Is(err, ErrQueueFull) {
 				t.Errorf("Report: %v", err)
 			}
@@ -144,7 +144,7 @@ func TestLifecycleHammer(t *testing.T) {
 func TestSnapshotWhileUpdating(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSnapshotWhileUpdating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		other := New(Config{})
+		other := newTestService(t, Config{})
 		if _, err := other.RestoreZone(data); err != nil {
 			t.Fatalf("snapshot %d taken mid-update does not restore: %v", i, err)
 		}

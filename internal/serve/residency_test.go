@@ -38,7 +38,7 @@ func waitForHotZones(t *testing.T, s *Service, want int) {
 // returns to them.
 func TestMaxHotZonesCapsResidentModels(t *testing.T) {
 	const zones, hotCap = 6, 2
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, MaxHotZones: hotCap})
 	deps := make([]*struct {
 		batch []Report
 		pt    geom.Point
@@ -68,7 +68,7 @@ func TestMaxHotZonesCapsResidentModels(t *testing.T) {
 		for zi := 0; zi < zones; zi++ {
 			id := fmt.Sprintf("zone-%d", zi)
 			prev := svc.Stats()[id].Estimates
-			for svc.Report(id, append([]Report(nil), deps[zi].batch...)) == ErrQueueFull {
+			for svc.Ingest(id, append([]Report(nil), deps[zi].batch...)) == ErrQueueFull {
 				time.Sleep(time.Millisecond)
 			}
 			waitForEstimate(t, svc, id, func(e Estimate) bool { return e.Seq > prev })
@@ -125,7 +125,7 @@ func TestEvictRehydrateFidelity(t *testing.T) {
 	sys := testSystem(t, dep)
 	cfg := Config{Window: 4, DetectThresholdDB: 0.25}
 
-	control := New(cfg)
+	control := newTestService(t, cfg)
 	if err := control.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEvictRehydrateFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evicted := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: store.NewMem()})
+	evicted := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: store.NewMem()})
 	if _, err := evicted.RestoreZone(data); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestEvictRehydrateFidelity(t *testing.T) {
 func TestRehydrateFailureTypedAndRetries(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRehydrateFailureTypedAndRetries(t *testing.T) {
 	injected := errors.New("backend down")
 	faults.FailOp(storetest.OpGet, "z", injected, storetest.Forever)
 
-	err := svc.Report("z", append([]Report(nil), batch...))
+	err := svc.Ingest("z", append([]Report(nil), batch...))
 	if !errors.Is(err, ErrRehydrate) {
 		t.Fatalf("Report on unrehydratable zone = %v, want ErrRehydrate", err)
 	}
@@ -268,7 +268,7 @@ func TestRehydrateFailureTypedAndRetries(t *testing.T) {
 func TestTornSnapshotFailsClosed(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestTornSnapshotFailsClosed(t *testing.T) {
 	}
 
 	faults.TearGet("z", 64, storetest.Forever)
-	err := svc.Report("z", append([]Report(nil), batch...))
+	err := svc.Ingest("z", append([]Report(nil), batch...))
 	if !errors.Is(err, ErrRehydrate) {
 		t.Fatalf("Report over torn snapshot = %v, want ErrRehydrate", err)
 	}
@@ -302,7 +302,7 @@ func TestTornSnapshotFailsClosed(t *testing.T) {
 func TestEvictFailureKeepsServing(t *testing.T) {
 	dep := testDeployment(t)
 	faults := storetest.New(store.NewMem())
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: faults})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestEvictFailureKeepsServing(t *testing.T) {
 // with no snapshot store is a typed refusal, not a panic or a lost
 // Model.
 func TestEvictWithoutStoreUnsupported(t *testing.T) {
-	svc := New(Config{Window: 4})
+	svc := newTestService(t, Config{Window: 4})
 	if err := svc.AddZone("z", testSystem(t, testDeployment(t))); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestEvictWithoutStoreUnsupported(t *testing.T) {
 func TestRemoveZoneDeletesFromStore(t *testing.T) {
 	dep := testDeployment(t)
 	mem := store.NewMem()
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25, Store: mem})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25, Store: mem})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestRemoveZoneDeletesFromStore(t *testing.T) {
 	if _, err := mem.Get("z"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("snapshot survived RemoveZone: %v", err)
 	}
-	boot := New(Config{Window: 4})
+	boot := newTestService(t, Config{Window: 4})
 	ids, err := boot.RestoreStore(mem)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestRemoveZoneDeletesFromStore(t *testing.T) {
 // directory backend prunes .snap files.
 func TestCheckpointStorePrunes(t *testing.T) {
 	depA, depB := testDeployment(t), testDeployment(t)
-	svc := New(Config{Window: 4})
+	svc := newTestService(t, Config{Window: 4})
 	if err := svc.AddZone("a", testSystem(t, depA)); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestCheckpointStorePrunes(t *testing.T) {
 func TestRestoreStoreSkipsDamagedEntries(t *testing.T) {
 	dep := testDeployment(t)
 	src := store.NewMem()
-	seed := New(Config{Window: 4})
+	seed := newTestService(t, Config{Window: 4})
 	if err := seed.AddZone("good", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestRestoreStoreSkipsDamagedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot := New(Config{Window: 4})
+	boot := newTestService(t, Config{Window: 4})
 	ids, err := boot.RestoreStore(src)
 	if err == nil {
 		t.Fatal("damaged entry restored without error")

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tafloc/internal/core"
 	"tafloc/internal/geom"
 )
 
@@ -17,7 +18,7 @@ import (
 // that state from a zone with no traffic at all.
 func TestStarvedCounter(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 4, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestStarvedCounter(t *testing.T) {
 
 	// Reports for link 0 only: every fold round is starved.
 	for i := 0; i < 5; i++ {
-		if err := svc.Report("z", []Report{{Link: 0, RSS: -40}}); err != nil {
+		if err := svc.Ingest("z", []Report{{Link: 0, RSS: -40}}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -52,14 +53,14 @@ func TestStarvedCounter(t *testing.T) {
 	// Once every link reports, estimates flow and Starved stops advancing.
 	target := geom.Point{X: 1.2, Y: 0.9}
 	for i := 0; i < 10; i++ {
-		if err := svc.Report("z", targetBatch(dep, target)); err != nil {
+		if err := svc.Ingest("z", targetBatch(dep, target)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Present })
 	before := svc.Stats()["z"].Starved
 	for i := 0; i < 5; i++ {
-		_ = svc.Report("z", targetBatch(dep, target))
+		_ = svc.Ingest("z", targetBatch(dep, target))
 	}
 	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Reports > 10*6 })
 	if after := svc.Stats()["z"].Starved; after != before {
@@ -76,7 +77,7 @@ func TestStarvedCounter(t *testing.T) {
 func TestZoneCountDoesNotScaleGoroutines(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 4})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := svc.Start(ctx); err != nil {
@@ -100,7 +101,7 @@ func TestZoneCountDoesNotScaleGoroutines(t *testing.T) {
 	target := geom.Point{X: 1.1, Y: 0.8}
 	for i := 0; i < 8; i++ {
 		for _, id := range []string{"z000", "z137", "z299"} {
-			if err := svc.Report(id, targetBatch(dep, target)); err != nil {
+			if err := svc.Ingest(id, targetBatch(dep, target)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +145,7 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 	dep := testDeployment(t)
 	target := geom.Point{X: 1.2, Y: 0.9}
 	for round := 0; round < 20; round++ {
-		svc := New(Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
+		svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, LocateWorkers: 2})
 		if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestIngestDuringStartNeverStrands(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := svc.Report("z", append([]Report(nil), batch...)); err != nil {
+			if err := svc.Ingest("z", append([]Report(nil), batch...)); err != nil {
 				t.Errorf("round %d: %v", round, err)
 			}
 		}()
@@ -190,7 +191,7 @@ func TestLocateWorkersNormalization(t *testing.T) {
 // (run with -race; the assertion is liveness plus monotonic freshness).
 func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 1, DetectThresholdDB: 0.25, LocateWorkers: 2})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 1, DetectThresholdDB: 0.25, LocateWorkers: 2})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		b := append([]Report(nil), batches[i%len(batches)]...)
-		for svc.Report("z", b) == ErrQueueFull {
+		for svc.Ingest("z", b) == ErrQueueFull {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -220,7 +221,7 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	last := e.Reports
 	for i := 0; i < 50; i++ {
 		b := append([]Report(nil), batches[i%len(batches)]...)
-		for svc.Report("z", b) == ErrQueueFull {
+		for svc.Ingest("z", b) == ErrQueueFull {
 			time.Sleep(100 * time.Microsecond)
 		}
 		if cur, ok := svc.Position("z"); ok {
@@ -232,4 +233,97 @@ func TestHotZoneFoldOverlapsLocate(t *testing.T) {
 	}
 	cancel()
 	svc.Wait()
+}
+
+// blockingPresence is a detector that parks the first Present call until
+// released, so a test can act between a fold round's detection and its
+// locate.
+type blockingPresence struct {
+	once     *sync.Once
+	entered  chan struct{}
+	released chan struct{}
+}
+
+func (b blockingPresence) Present([]float64) (bool, float64) {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.released
+	})
+	return true, 5
+}
+
+// recordingMatcher remembers every Model it was asked to match against.
+type recordingMatcher struct {
+	mu     sync.Mutex
+	models []*core.Model
+}
+
+func (r *recordingMatcher) Match(m *core.Model, y []float64, sc *core.Scratch) (core.Location, error) {
+	r.mu.Lock()
+	r.models = append(r.models, m)
+	r.mu.Unlock()
+	return core.NNMatcher{}.Match(m, y, sc)
+}
+
+// TestRoundUsesOneModel pins that a fold→locate round detects and
+// localizes against one Model: a System.Update that lands after the
+// round's detection must not change the Model its locate matches with,
+// or the published estimate would mix two calibrations.
+func TestRoundUsesOneModel(t *testing.T) {
+	dep := testDeployment(t)
+	gate := blockingPresence{once: new(sync.Once), entered: make(chan struct{}), released: make(chan struct{})}
+	if err := core.RegisterDetector("test-blocking", func([]float64, float64) core.Presence { return gate }); err != nil {
+		t.Fatal(err)
+	}
+	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	survey, _ := dep.Survey(0)
+	rec := &recordingMatcher{}
+	opts := core.DefaultSystemOptions()
+	opts.Matcher = rec
+	sys, err := core.NewSystem(layout, survey, dep.VacantCapture(0, 50), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, Config{Window: 1, DetectThresholdDB: 0.25, Detector: "test-blocking"})
+	if err := svc.AddZone("z", sys); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := svc.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	pre := sys.Model()
+	if err := svc.Ingest("z", targetBatch(dep, geom.Point{X: 1.5, Y: 1.2})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fold round never reached detection")
+	}
+	refCols, _ := dep.SurveyCells(sys.References(), 45)
+	_, err = sys.Update(refCols, dep.VacantCapture(45, 50))
+	swapped := sys.Model() != pre
+	close(gate.released)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !swapped {
+		t.Fatal("Update did not publish a new Model")
+	}
+	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Present })
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.models) != 1 {
+		t.Fatalf("matcher ran %d times, want 1", len(rec.models))
+	}
+	if rec.models[0] != pre {
+		t.Error("locate matched against the Model published after the round's detection")
+	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,18 +39,17 @@ type ZoneFactory func(ctx context.Context, id string, spec api.ZoneSpec) (*core.
 
 // Config tunes the service. A zero field means "unset" and selects the
 // default noted on it; a negative value means "explicitly the minimum" —
-// zero for fields where zero is meaningful (an unbuffered queue, a
-// disabled detection gate, no heartbeat), the smallest legal value
-// otherwise. The two cannot be conflated: Config{} keeps every default,
-// while Config{DetectThresholdDB: -1} genuinely disables presence
-// gating. The functional options in the root package translate explicit
-// zero arguments into the negative sentinels, so
-// tafloc.WithDetectThreshold(0) does what it says.
+// zero for fields where zero is meaningful (a disabled detection gate,
+// no heartbeat), the smallest legal value otherwise. The two cannot be
+// conflated: Config{} keeps every default, while
+// Config{DetectThresholdDB: -1} genuinely disables presence gating. The
+// functional options in the root package translate explicit zero
+// arguments into the negative sentinels, so tafloc.WithDetectThreshold(0)
+// does what it says.
 type Config struct {
 	// QueueDepth is the number of pending report batches each zone's
-	// bounded queue holds before Report sheds load (default 256;
-	// negative = 0, an unbuffered queue that rendezvouses with the
-	// zone's fold round and sheds whenever one is in flight).
+	// bounded queue holds before Ingest sheds load (default 256;
+	// negative = 1).
 	QueueDepth int
 	// BatchSize is the maximum number of reports a zone's fold round
 	// consumes before answering one batched match query (default 64;
@@ -68,7 +66,7 @@ type Config struct {
 	DetectThresholdDB float64
 	// Detector names the presence-detection strategy from the core
 	// registry (default core.DetectorMAD). Unknown names fail NewService
-	// with a taflocerr error and panic the legacy New.
+	// with a taflocerr error.
 	Detector string
 	// LocateWorkers is the size of the shared locate-executor pool that
 	// runs every zone's fold and match rounds. Zones are goroutine-free
@@ -122,7 +120,7 @@ func (c Config) withDefaults() Config {
 	case c.QueueDepth == 0:
 		c.QueueDepth = 256
 	case c.QueueDepth < 0:
-		c.QueueDepth = 0
+		c.QueueDepth = 1
 	}
 	switch {
 	case c.BatchSize == 0:
@@ -230,10 +228,9 @@ type zone struct {
 	// serialized by resMu; see residency.go.
 	//
 	//tafloc:atomic
-	sys        atomic.Pointer[core.System]
-	zc         zoneConfig
-	queue      chan []Report
-	unbuffered bool // QueueDepth 0: rendezvous semantics over a cap-1 queue
+	sys   atomic.Pointer[core.System]
+	zc    zoneConfig
+	queue chan []Report
 
 	// Residency machinery: resMu serializes evict/rehydrate transitions
 	// (never held on the steady-state hot path); lastTouch is the zone's
@@ -301,7 +298,7 @@ type zone struct {
 
 // Service is the sharded multi-zone localization frontend. Register zones
 // with AddZone (before or after Start), launch the executor pool with
-// Start, ingest with Report, read positions lock-free with Position, and
+// Start, ingest with Ingest, read positions lock-free with Position, and
 // stream them with Watch. Zones can be added, removed, and swapped at
 // runtime. Folding is cheap and runs as soon as a zone has pending
 // reports; localization is dispatched to the shared executor pool, so
@@ -357,19 +354,6 @@ func NewService(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// New builds an empty service with the given configuration. An unknown
-// Config.Detector name panics: it is a programming error on the same
-// level as an invalid literal, and New has no error return for
-// compatibility. Builder-style callers should use NewService, which
-// returns the error instead.
-func New(cfg Config) *Service {
-	s, err := NewService(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("serve: %v", err))
-	}
-	return s
-}
-
 // newZoneConfig validates and assembles a per-zone configuration.
 // window, thrDB, and history must already be normalized (window >= 1,
 // thrDB >= 0 with 0 meaning the gate is off, history >= 0 with 0
@@ -414,25 +398,16 @@ func newZoneConfig(window int, thrDB float64, detector string, history int, trk 
 // zone's history is enabled.
 func (s *Service) newZone(id string, sys *core.System, zc zoneConfig, tracker *track.Tracker) *zone {
 	m := sys.Layout().M()
-	depth := s.cfg.QueueDepth
-	unbuffered := depth == 0
-	if unbuffered {
-		// Rendezvous semantics live in the ingest path (see
-		// ingestUnbuffered); the slot itself must hold the one batch a
-		// fold round is about to consume.
-		depth = 1
-	}
 	z := &zone{
-		id:         id,
-		zc:         zc,
-		queue:      make(chan []Report, depth),
-		unbuffered: unbuffered,
-		win:        make([][]float64, m),
-		widx:       make([]int, m),
-		wfill:      make([]int, m),
-		vwin:       make([][]float64, m),
-		vidx:       make([]int, m),
-		vfill:      make([]int, m),
+		id:    id,
+		zc:    zc,
+		queue: make(chan []Report, s.cfg.QueueDepth),
+		win:   make([][]float64, m),
+		widx:  make([]int, m),
+		wfill: make([]int, m),
+		vwin:  make([][]float64, m),
+		vidx:  make([]int, m),
+		vfill: make([]int, m),
 	}
 	z.sys.Store(sys)
 	for i := range z.win {
@@ -768,7 +743,7 @@ func (s *Service) runTask(t task) {
 	case foldTask:
 		s.runFold(t.z)
 	case locateTask:
-		s.runLocate(t.z, t.sys, t.y, t.e)
+		s.runLocate(t.z, t.m, t.y, t.e)
 	}
 }
 
@@ -1016,19 +991,21 @@ func (s *Service) prepareEstimate(z *zone) {
 		}
 		y[i] = sum / float64(z.wfill[i])
 	}
-	// Resolve the zone's System once for the whole fold→locate round and
+	// Resolve the zone's Model once for the whole fold→locate round and
 	// thread it through the task chain: detection and localization then
-	// run against one consistent Model even if the zone is evicted (or
-	// updated) mid-round. The ingest path already rehydrated, so this
-	// only pays a store read when an eviction squeezed in between; a
-	// rehydrate failure here ends the round (the error is counted and
-	// the next round retries) rather than publishing anything.
+	// run against one consistent calibration even if the zone is evicted
+	// (or its System updated) mid-round. The ingest path already
+	// rehydrated, so this only pays a store read when an eviction
+	// squeezed in between; a rehydrate failure here ends the round (the
+	// error is counted and the next round retries) rather than
+	// publishing anything.
 	sys, err := s.ensureHot(z)
 	if err != nil {
 		mat.PutFloats(y)
 		return
 	}
-	present, dev := s.detect(z, sys, y)
+	model := sys.Model()
+	present, dev := s.detect(z, model, y)
 	e := Estimate{
 		Zone:        z.id,
 		Present:     present,
@@ -1040,7 +1017,7 @@ func (s *Service) prepareEstimate(z *zone) {
 		mat.PutFloats(y)
 		y = nil
 	}
-	s.dispatchLocate(z, sys, y, e)
+	s.dispatchLocate(z, model, y, e)
 }
 
 // dispatchLocate hands a prepared estimate to the zone's locate stage.
@@ -1048,7 +1025,7 @@ func (s *Service) prepareEstimate(z *zone) {
 // single pending slot (freshest wins), so a zone whose match queries
 // are slower than its ingest folds ahead without queueing unbounded
 // work — and the fold stage never blocks on the locate stage.
-func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estimate) {
+func (s *Service) dispatchLocate(z *zone, m *core.Model, y []float64, e Estimate) {
 	z.schedMu.Lock()
 	switch {
 	case z.stopped:
@@ -1059,12 +1036,12 @@ func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estim
 		if z.hasPend {
 			mat.PutFloats(z.pend.y)
 		}
-		z.pend = task{sys: sys, y: y, e: e}
+		z.pend = task{m: m, y: y, e: e}
 		z.hasPend = true
 	default:
 		z.locBusy = true
 		z.tasks.Add(1)
-		if !s.exec.submit(task{z: z, kind: locateTask, sys: sys, y: y, e: e}) {
+		if !s.exec.submit(task{z: z, kind: locateTask, m: m, y: y, e: e}) {
 			// Executor closed (service stopping): unwind and drop the
 			// round, as shutdown drops queued work.
 			z.locBusy = false
@@ -1076,17 +1053,17 @@ func (s *Service) dispatchLocate(z *zone, sys *core.System, y []float64, e Estim
 }
 
 // runLocate is the zone's locate stage: run the match query against the
-// zone's current Model (one atomic load, no locks — the executor
-// workers all read shared Models concurrently), publish, and loop onto
+// Model its fold round resolved (no locks — the executor workers all
+// read shared immutable Models concurrently), publish, and loop onto
 // the coalesced pending estimate if one arrived meanwhile.
-func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) {
+func (s *Service) runLocate(z *zone, m *core.Model, y []float64, e Estimate) {
 	defer z.tasks.Done()
 	published := false
 	for {
 		if !s.serviceStopped() && !z.isStopped() {
 			ok := true
 			if e.Present && y != nil {
-				loc, err := sys.Locate(y)
+				loc, err := m.Locate(y, nil)
 				if err != nil {
 					z.matchErrors.Add(1)
 					ok = false
@@ -1116,7 +1093,7 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 			}
 			return
 		}
-		sys, y, e = z.pend.sys, z.pend.y, z.pend.e
+		m, y, e = z.pend.m, z.pend.y, z.pend.e
 		z.pend = task{}
 		z.hasPend = false
 		z.schedMu.Unlock()
@@ -1125,13 +1102,13 @@ func (s *Service) runLocate(z *zone, sys *core.System, y []float64, e Estimate) 
 
 // detect gates localization on target presence through the zone's
 // detector. When every link has received vacant-flagged samples, the
-// mean of those windows is a fresher baseline than the system's last
-// vacant capture and is used instead, so detection tracks drift between
+// mean of those windows is a fresher baseline than the Model's vacant
+// capture and is used instead, so detection tracks drift between
 // fingerprint updates. A zone with a zero threshold has the gate
 // disabled: the deviation is still computed (and published), but the
 // target always counts as present.
-func (s *Service) detect(z *zone, sys *core.System, y []float64) (bool, float64) {
-	vac := sys.Vacant()
+func (s *Service) detect(z *zone, m *core.Model, y []float64) (bool, float64) {
+	vac := m.Vacant()
 	fresh := true
 	for i := range z.vfill {
 		if z.vfill[i] == 0 {

@@ -31,6 +31,17 @@ func testDeployment(t testing.TB) *testbed.Deployment {
 	return dep
 }
 
+// newTestService builds a service with NewService and fails the test on
+// a configuration error.
+func newTestService(t testing.TB, cfg Config) *Service {
+	t.Helper()
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
 func testSystem(t testing.TB, dep *testbed.Deployment) *core.System {
 	t.Helper()
 	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
@@ -74,7 +85,7 @@ func waitForEstimate(t *testing.T, s *Service, zone string, want func(Estimate) 
 // producers and checks every zone independently localizes its own target.
 func TestConcurrentIngestAcrossZones(t *testing.T) {
 	const zones = 4
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
 	deps := make([]*testbed.Deployment, zones)
 	targets := make([]geom.Point, zones)
 	batches := make([][][]Report, zones)
@@ -103,7 +114,7 @@ func TestConcurrentIngestAcrossZones(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("zone-%d", zi)
 			for _, batch := range batches[zi] {
-				for svc.Report(id, batch) == ErrQueueFull {
+				for svc.Ingest(id, batch) == ErrQueueFull {
 					time.Sleep(time.Millisecond)
 				}
 			}
@@ -138,7 +149,7 @@ func TestConcurrentIngestAcrossZones(t *testing.T) {
 func TestQueryDuringUpdate(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +177,7 @@ func TestQueryDuringUpdate(t *testing.T) {
 				return
 			default:
 			}
-			_ = svc.Report("z", append([]Report(nil), batches[i%len(batches)]...))
+			_ = svc.Ingest("z", append([]Report(nil), batches[i%len(batches)]...))
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -205,7 +216,7 @@ func TestQueryDuringUpdate(t *testing.T) {
 // numbers increase monotonically, and handed-out snapshots are immutable
 // reader copies.
 func TestSnapshotConsistency(t *testing.T) {
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	svc.publish(nil, Estimate{Zone: "a", Cell: 1})
 	svc.publish(nil, Estimate{Zone: "b", Cell: 2})
 	before := svc.Positions()
@@ -234,21 +245,21 @@ func TestSnapshotConsistency(t *testing.T) {
 // out-of-range link, and queue overflow with load shedding.
 func TestReportErrors(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: 1})
+	svc := newTestService(t, Config{QueueDepth: 1})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Report("nope", []Report{{Link: 0, RSS: -40}}); err != ErrUnknownZone {
+	if err := svc.Ingest("nope", []Report{{Link: 0, RSS: -40}}); err != ErrUnknownZone {
 		t.Errorf("unknown zone: got %v", err)
 	}
-	if err := svc.Report("z", []Report{{Link: 99, RSS: -40}}); err == nil {
+	if err := svc.Ingest("z", []Report{{Link: 99, RSS: -40}}); err == nil {
 		t.Error("out-of-range link accepted")
 	}
 	// Service not started: the queue (depth 1) fills and then sheds.
-	if err := svc.Report("z", []Report{{Link: 0, RSS: -40}}); err != nil {
+	if err := svc.Ingest("z", []Report{{Link: 0, RSS: -40}}); err != nil {
 		t.Errorf("first batch: %v", err)
 	}
-	if err := svc.Report("z", []Report{{Link: 0, RSS: -40}}); err != ErrQueueFull {
+	if err := svc.Ingest("z", []Report{{Link: 0, RSS: -40}}); err != ErrQueueFull {
 		t.Errorf("overflow: got %v, want ErrQueueFull", err)
 	}
 	if st := svc.Stats()["z"]; st.Dropped == 0 {
@@ -260,7 +271,7 @@ func TestReportErrors(t *testing.T) {
 // HTTP server.
 func TestHTTPEndpoints(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, BatchSize: 16, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, BatchSize: 16, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("room-a", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +373,7 @@ func TestVacantReportsRefreshBaseline(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
 	day0 := sys.Vacant()
-	svc := New(Config{Window: 4, BatchSize: 8, DetectThresholdDB: 1})
+	svc := newTestService(t, Config{Window: 4, BatchSize: 8, DetectThresholdDB: 1})
 	if err := svc.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +389,7 @@ func TestVacantReportsRefreshBaseline(t *testing.T) {
 		drifted[i] = Report{Link: i, RSS: v + 3, Vacant: true}
 	}
 	for k := 0; k < 8; k++ {
-		if err := svc.Report("z", append([]Report(nil), drifted...)); err != nil {
+		if err := svc.Ingest("z", append([]Report(nil), drifted...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,7 +403,7 @@ func TestVacantReportsRefreshBaseline(t *testing.T) {
 		live[i] = Report{Link: i, RSS: v + 3 - 5}
 	}
 	for k := 0; k < 8; k++ {
-		if err := svc.Report("z", append([]Report(nil), live...)); err != nil {
+		if err := svc.Ingest("z", append([]Report(nil), live...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +419,7 @@ func TestVacantReportsRefreshBaseline(t *testing.T) {
 func TestAddZoneRules(t *testing.T) {
 	dep := testDeployment(t)
 	sys := testSystem(t, dep)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("", sys); err == nil {
 		t.Error("empty id accepted")
 	}
@@ -430,7 +441,7 @@ func TestAddZoneRules(t *testing.T) {
 	if err := svc.AddZone("late", sys); err != nil {
 		t.Errorf("post-start AddZone: got %v", err)
 	}
-	if err := svc.Report("late", []Report{{Link: 0, RSS: -40}}); err != nil {
+	if err := svc.Ingest("late", []Report{{Link: 0, RSS: -40}}); err != nil {
 		t.Errorf("report to late-added zone: %v", err)
 	}
 	if err := svc.Start(ctx); err != ErrStarted {

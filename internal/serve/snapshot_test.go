@@ -30,7 +30,7 @@ func feedAndCollect(t *testing.T, s *Service, id string, batches [][]Report) []E
 	var out []Estimate
 	for bi, b := range batches {
 		prev := s.Stats()[id].Estimates
-		for s.Report(id, append([]Report(nil), b...)) == ErrQueueFull {
+		for s.Ingest(id, append([]Report(nil), b...)) == ErrQueueFull {
 			time.Sleep(time.Millisecond)
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -70,7 +70,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	sys := testSystem(t, dep)
 	cfg := Config{Window: 4, DetectThresholdDB: 0.25}
 
-	original := New(cfg)
+	original := newTestService(t, cfg)
 	if err := original.AddZone("z", sys); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	// The restoring service is configured differently on purpose: the
 	// snapshot's per-zone config (window 4, threshold 0.25, detector mad)
 	// must win over these defaults for the restored zone.
-	restoredSvc := New(Config{Window: 16, DetectThresholdDB: 5, Detector: core.DetectorRMS})
+	restoredSvc := newTestService(t, Config{Window: 16, DetectThresholdDB: 5, Detector: core.DetectorRMS})
 	id, err := restoredSvc.RestoreZone(data)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 // typed snapshot errors and leave the service untouched.
 func TestRestoreZoneRejectsDamage(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRestoreZoneRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data[:len(data)/2]); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
 		t.Errorf("truncated: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestRestoreZoneRejectsDamage(t *testing.T) {
 // directory and checks the per-zone config survives.
 func TestCheckpointRestoreDir(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 4, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 4, DetectThresholdDB: 0.25})
 	for _, id := range []string{"a", "b", "zone/with slash"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestCheckpointRestoreDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := New(Config{Window: 16})
+	fresh := newTestService(t, Config{Window: 16})
 	ids, err := fresh.RestoreDir(dir)
 	if err == nil {
 		t.Error("RestoreDir swallowed the corrupt file")
@@ -211,7 +211,7 @@ func TestCheckpointRestoreDir(t *testing.T) {
 // resurrect from its stale snapshot file on the next boot.
 func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	for _, id := range []string{"keep", "doomed"} {
 		if err := svc.AddZone(id, testSystem(t, dep)); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "doomed.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("stale snapshot of removed zone survived the checkpoint: %v", err)
 	}
-	fresh := New(Config{})
+	fresh := newTestService(t, Config{})
 	ids, err := fresh.RestoreDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestCheckpointPrunesRemovedZones(t *testing.T) {
 // driving the per-link allocations into a panic or OOM.
 func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data); !errors.Is(err, taflocerr.ErrSnapshotCorrupt) {
 		t.Errorf("implausible window: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestRestoreRejectsImplausibleWindow(t *testing.T) {
 // produces files at the interval and once more on shutdown.
 func TestCheckpointerWritesAndFinalizes(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestSnapshotHTTP(t *testing.T) {
 	dep := testDeployment(t)
 
 	// Without a ZoneFactory the routes are gated off.
-	gated := New(Config{})
+	gated := newTestService(t, Config{})
 	if err := gated.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestSnapshotHTTP(t *testing.T) {
 		t.Errorf("ungated snapshot GET: %d, want 501", resp.StatusCode)
 	}
 
-	svc := New(Config{
+	svc := newTestService(t, Config{
 		ZoneFactory: func(ctx context.Context, id string, spec api.ZoneSpec) (*core.System, error) {
 			return testSystem(t, dep), nil
 		},
@@ -418,7 +418,7 @@ func TestSnapshotHTTP(t *testing.T) {
 // requires periodic comment heartbeats between estimates.
 func TestWatchHeartbeat(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{WatchHeartbeat: 20 * time.Millisecond})
+	svc := newTestService(t, Config{WatchHeartbeat: 20 * time.Millisecond})
 	if err := svc.AddZone("quiet", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestDisabledDetectionGate(t *testing.T) {
 		return b
 	}
 
-	gateless := New(Config{Window: 2, DetectThresholdDB: -1})
+	gateless := newTestService(t, Config{Window: 2, DetectThresholdDB: -1})
 	if err := gateless.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -510,10 +510,7 @@ func TestConfigNormalization(t *testing.T) {
 		WatchBuffer:       -1,
 		WatchHeartbeat:    -1,
 	}.withDefaults()
-	if exp.QueueDepth != 0 {
-		t.Errorf("explicit zero queue depth: %d", exp.QueueDepth)
-	}
-	if exp.BatchSize != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
+	if exp.QueueDepth != 1 || exp.BatchSize != 1 || exp.Window != 1 || exp.WatchBuffer != 1 {
 		t.Errorf("explicit minimums: %+v", exp)
 	}
 	if exp.DetectThresholdDB != 0 {
@@ -525,62 +522,28 @@ func TestConfigNormalization(t *testing.T) {
 }
 
 // TestNewServiceErrorNotPanic: the builder surfaces configuration errors
-// as taflocerr values; only the legacy New panics.
+// as taflocerr values.
 func TestNewServiceErrorNotPanic(t *testing.T) {
 	if _, err := NewService(Config{Detector: "no-such"}); !errors.Is(err, taflocerr.ErrBadRequest) {
 		t.Errorf("NewService unknown detector: %v", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("legacy New did not panic on an unknown detector")
-		}
-	}()
-	New(Config{Detector: "no-such"})
-}
-
-// An unbuffered queue (explicit zero depth) still serves: Report
-// rendezvouses with the worker and sheds only when it is busy.
-func TestUnbufferedQueueServes(t *testing.T) {
-	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: -1, Window: 2, DetectThresholdDB: 0.25})
-	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := svc.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	target := geom.Point{X: 1.0, Y: 0.9}
-	for i := 0; i < 200; i++ {
-		b := targetBatch(dep, target)
-		for svc.Report("z", b) == ErrQueueFull {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitForEstimate(t, svc, "z", func(e Estimate) bool { return e.Present })
 }
 
 // TestRestorePreRedesignSnapshot is the compatibility acceptance pin:
 // a snapshot written in the previous format version (v1, no trajectory
 // section) still warm-starts a zone on the redesigned service, with the
 // service's own history/track defaults filling the unrecorded fields.
+// testdata/zone_v1.snap is zone "z" over testSystem(testDeployment())
+// on a Config{Window: 2, DetectThresholdDB: 0.25} service, written by
+// the last build that could still encode version 1.
 func TestRestorePreRedesignSnapshot(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
-	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
-		t.Fatal(err)
-	}
-	sn, err := svc.snapshotZone("z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := snap.EncodeVersion(sn, snap.VersionPrev)
+	legacy, err := os.ReadFile(filepath.Join("testdata", "zone_v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	other := New(Config{Window: 2, DetectThresholdDB: 0.25, History: 64})
+	other := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25, History: 64})
 	id, err := other.RestoreZone(legacy)
 	if err != nil {
 		t.Fatalf("restoring a v%d snapshot failed: %v", snap.VersionPrev, err)
@@ -615,7 +578,7 @@ func TestRestorePreRedesignSnapshot(t *testing.T) {
 // original's state.
 func TestSnapshotCarriesTracker(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +611,7 @@ func TestSnapshotCarriesTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := New(Config{})
+	other := newTestService(t, Config{})
 	if _, err := other.RestoreZone(data); err != nil {
 		t.Fatal(err)
 	}

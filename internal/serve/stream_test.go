@@ -55,7 +55,7 @@ func streamAcks(t *testing.T, srv *httptest.Server, zone, body string) []api.Str
 // the trailer's accounting adds up.
 func TestReportStreamProtocol(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2, DetectThresholdDB: 0.25})
+	svc := newTestService(t, Config{Window: 2, DetectThresholdDB: 0.25})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestReportStreamProtocol(t *testing.T) {
 	}
 }
 
-// TestReportStreamBackpressure checks shed accounting: on a stopped
-// service with an unbuffered queue every batch sheds, acked queue_full,
-// and the stream stays up.
+// TestReportStreamBackpressure checks shed accounting: on a service
+// that is not running, a depth-1 queue takes the first batch and every
+// later one sheds, acked queue_full, while the stream stays up.
 func TestReportStreamBackpressure(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{QueueDepth: -1}) // unbuffered; no worker running
+	svc := newTestService(t, Config{QueueDepth: 1}) // never started: nothing drains the queue
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}
@@ -126,26 +126,29 @@ func TestReportStreamBackpressure(t *testing.T) {
 	defer srv.Close()
 
 	line, _ := json.Marshal(targetBatch(dep, streamTestPoint))
-	body := string(line) + "\n" + string(line) + "\n"
+	body := strings.Repeat(string(line)+"\n", 3)
 	acks := streamAcks(t, srv, "z", body)
-	if len(acks) != 3 {
+	if len(acks) != 4 {
 		t.Fatalf("got %d response lines: %+v", len(acks), acks)
 	}
-	for i := 0; i < 2; i++ {
+	n := len(targetBatch(dep, streamTestPoint))
+	if acks[0].Accepted != n || acks[0].Code != "" {
+		t.Errorf("ack 0: %+v, want accepted=%d", acks[0], n)
+	}
+	for i := 1; i < 3; i++ {
 		if acks[i].Code != taflocerr.CodeQueueFull {
 			t.Errorf("ack %d: %+v, want queue_full", i, acks[i])
 		}
 	}
-	n := uint64(len(targetBatch(dep, streamTestPoint)))
-	if tr := acks[2].Trailer; tr == nil || tr.Shed != 2*n || tr.Accepted != 0 {
-		t.Errorf("trailer %+v, want shed=%d", acks[2].Trailer, 2*n)
+	if tr := acks[3].Trailer; tr == nil || tr.Shed != uint64(2*n) || tr.Accepted != uint64(n) {
+		t.Errorf("trailer %+v, want accepted=%d shed=%d", acks[3].Trailer, n, 2*n)
 	}
 }
 
 // TestReportStreamUnknownZone checks the stream is refused up front
 // with the taxonomy error for a zone that does not exist.
 func TestReportStreamUnknownZone(t *testing.T) {
-	svc := New(Config{})
+	svc := newTestService(t, Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v2/zones/nope/reports:stream",
@@ -167,7 +170,7 @@ func TestReportStreamUnknownZone(t *testing.T) {
 // stream after an unknown_zone ack, with the trailer still delivered.
 func TestReportStreamZoneRemovedMidStream(t *testing.T) {
 	dep := testDeployment(t)
-	svc := New(Config{Window: 2})
+	svc := newTestService(t, Config{Window: 2})
 	if err := svc.AddZone("z", testSystem(t, dep)); err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,8 @@
 // options, and the live Kalman filter state, so a warm-started zone
 // resumes its track. Decoders read both versions — a version-1 file
 // yields a Snapshot with no Track state and zero-valued history/track
-// config (the restoring service's defaults apply). Encode writes the
-// current version; EncodeVersion writes an explicit one, which is how a
-// deployment rolls snapshots back to a build that only reads v1.
+// config (the restoring service's defaults apply). Encode writes only
+// the current version.
 //
 // Decoding fails closed: a wrong magic or version yields
 // taflocerr.CodeSnapshotVersion; truncation, trailing garbage, CRC
@@ -59,8 +58,7 @@ import (
 // exactly the versions they implement; there is no forward compatibility.
 const Version = 2
 
-// VersionPrev is the oldest version this build still decodes (and can
-// emit via EncodeVersion for rollbacks).
+// VersionPrev is the oldest version this build still decodes.
 const VersionPrev = 1
 
 // magic identifies a TafLoc snapshot file.
@@ -117,20 +115,8 @@ type Snapshot struct {
 // Encode serializes s into the current version of the CRC-checked
 // binary format.
 func Encode(s *Snapshot) ([]byte, error) {
-	return EncodeVersion(s, Version)
-}
-
-// EncodeVersion serializes s as an explicit format version — the
-// current one, or VersionPrev to hand a snapshot to a build that only
-// reads the previous layout (version 1 simply omits the trajectory
-// state).
-func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 	if s == nil || s.State == nil {
 		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest, "snap: nil snapshot")
-	}
-	if version < VersionPrev || version > Version {
-		return nil, taflocerr.Errorf(taflocerr.CodeBadRequest,
-			"snap: cannot encode version %d (this build writes %d..%d)", version, VersionPrev, Version)
 	}
 	var e encoder
 	e.str(s.Zone)
@@ -178,21 +164,19 @@ func EncodeVersion(s *Snapshot, version uint32) ([]byte, error) {
 	e.f64s(st.Vacant)
 	e.ints(st.RefCells)
 
-	if version >= 2 {
-		e.i64(int64(s.Config.History))
-		e.trackOptions(s.Config.Track)
-		if s.Track == nil {
-			e.buf = append(e.buf, 0)
-		} else {
-			e.buf = append(e.buf, 1)
-			e.trackerState(s.Track)
-		}
+	e.i64(int64(s.Config.History))
+	e.trackOptions(s.Config.Track)
+	if s.Track == nil {
+		e.buf = append(e.buf, 0)
+	} else {
+		e.buf = append(e.buf, 1)
+		e.trackerState(s.Track)
 	}
 
 	payload := e.buf
 	out := make([]byte, 0, headerSize+len(payload)+4)
 	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))

@@ -168,13 +168,14 @@ func TestDecodeVersionAndMagic(t *testing.T) {
 	}
 }
 
-// TestDecodeVersionPrev pins backward compatibility: a snapshot
-// written in the previous format version still decodes — calibrated
-// state intact, trajectory fields at their "not recorded" zero values —
-// and EncodeVersion refuses versions outside the supported range.
+// TestDecodeVersionPrev pins backward compatibility against bytes an
+// older build wrote: testdata/v1.snap is testSnapshot encoded by the last
+// build that could still write format version 1. It must still decode —
+// calibrated state intact, trajectory fields at their "not recorded"
+// zero values.
 func TestDecodeVersionPrev(t *testing.T) {
 	want := testSnapshot(t)
-	data, err := EncodeVersion(want, VersionPrev)
+	data, err := os.ReadFile(filepath.Join("testdata", "v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +201,6 @@ func TestDecodeVersionPrev(t *testing.T) {
 	}
 	if got.Config.History != 0 || got.Config.Track != (track.Options{}) || got.Track != nil {
 		t.Errorf("v1 decode invented trajectory state: %+v track=%+v", got.Config, got.Track)
-	}
-
-	if _, err := EncodeVersion(want, 0); err == nil {
-		t.Error("EncodeVersion(0) succeeded")
-	}
-	if _, err := EncodeVersion(want, Version+1); err == nil {
-		t.Error("EncodeVersion(future) succeeded")
 	}
 }
 

@@ -5,84 +5,65 @@ import (
 
 	"tafloc/internal/api"
 	"tafloc/internal/core"
-	"tafloc/internal/mat"
 	"tafloc/internal/serve"
 )
 
 // Option configures a System built by Open or OpenDeployment. Options
 // compose left to right; later options win on conflict.
-type Option func(*openConfig)
-
-type openConfig struct {
-	sys     core.SystemOptions
-	workers int
-	setW    bool
-}
+type Option func(*SystemOptions)
 
 // WithMatcher selects the localization matcher by registry name —
 // "nn", "knn", "bayes", or "wknn" (the mask-aware default), plus any
 // name installed with RegisterMatcher. Unknown names fail Open.
 func WithMatcher(name string) Option {
-	return func(c *openConfig) { c.sys.MatcherName = name; c.sys.Matcher = nil }
+	return func(c *SystemOptions) { c.MatcherName = name; c.Matcher = nil }
 }
 
 // WithMatcherImpl injects a concrete Matcher implementation, bypassing
 // the registry.
 func WithMatcherImpl(m Matcher) Option {
-	return func(c *openConfig) { c.sys.Matcher = m; c.sys.MatcherName = "" }
+	return func(c *SystemOptions) { c.Matcher = m; c.MatcherName = "" }
 }
 
 // WithLoLi overrides the LoLi-IR reconstruction hyperparameters.
 func WithLoLi(o LoLiOptions) Option {
-	return func(c *openConfig) { c.sys.LoLi = o }
+	return func(c *SystemOptions) { c.LoLi = o }
 }
 
 // WithReferences overrides reference-location selection.
 func WithReferences(o ReferenceOptions) Option {
-	return func(c *openConfig) { c.sys.Refs = o }
+	return func(c *SystemOptions) { c.Refs = o }
 }
 
 // WithRecSigma sets the assumed error std (dB) of reconstructed entries
 // for the built-in weighted matcher.
 func WithRecSigma(db float64) Option {
-	return func(c *openConfig) { c.sys.RecSigmaDB = db }
+	return func(c *SystemOptions) { c.RecSigmaDB = db }
 }
 
 // WithMaskThreshold sets the |survey - vacant| deviation (dB) above
 // which an entry counts as distorted when the mask is learned from the
 // day-0 survey; negative forces the geometric ellipse mask.
 func WithMaskThreshold(db float64) Option {
-	return func(c *openConfig) { c.sys.MaskThresholdDB = db }
-}
-
-// WithWorkers sets the global parallel worker count used by the
-// reconstruction and matching kernels (the same knob as SetWorkers);
-// n <= 0 restores the GOMAXPROCS-aware default.
-func WithWorkers(n int) Option {
-	return func(c *openConfig) { c.workers = n; c.setW = true }
+	return func(c *SystemOptions) { c.MaskThresholdDB = db }
 }
 
 // Open builds a System from a day-0 full survey with functional
-// options — the v2 replacement for NewSystem:
+// options:
 //
 //	sys, err := tafloc.Open(layout, survey, vacant,
 //	    tafloc.WithMatcher("wknn"),
-//	    tafloc.WithLoLi(loli),
-//	    tafloc.WithWorkers(8))
+//	    tafloc.WithLoLi(loli))
 func Open(layout *Layout, survey *Matrix, vacant []float64, opts ...Option) (*System, error) {
-	c := openConfig{sys: core.DefaultSystemOptions()}
+	c := core.DefaultSystemOptions()
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.setW {
-		mat.SetWorkers(c.workers)
-	}
-	return core.NewSystem(layout, survey, vacant, c.sys)
+	return core.NewSystem(layout, survey, vacant, c)
 }
 
 // OpenDeployment surveys dep at day 0 and builds a System with the
-// given options — the one-call quickstart path (v2 replacement for
-// BuildSystem).
+// given options — the one-call quickstart path.
 func OpenDeployment(dep *Deployment, opts ...Option) (*System, error) {
 	layout, err := core.NewLayout(dep.Channel.Links(), dep.Grid, dep.Config.RF.MaskExcessM())
 	if err != nil {
@@ -97,12 +78,11 @@ func OpenDeployment(dep *Deployment, opts ...Option) (*System, error) {
 type ServiceOption func(*serve.Config)
 
 // WithZoneQueue sets the per-zone bounded ingest queue depth (pending
-// batches before Report sheds load). An explicit depth <= 0 selects an
-// unbuffered queue: Report hands batches directly to the zone worker
-// and sheds whenever it is busy.
+// batches before Ingest sheds load); depth <= 0 selects the minimum
+// depth of 1.
 func WithZoneQueue(depth int) ServiceOption {
 	if depth <= 0 {
-		depth = -1 // explicit zero, not "use the default"
+		depth = -1
 	}
 	return func(c *serve.Config) { c.QueueDepth = depth }
 }
@@ -233,8 +213,7 @@ func WithSnapshotStore(st SnapshotStore) ServiceOption {
 //	    tafloc.WithZoneFactory(factory))
 //
 // Invalid configurations — an unregistered detector name, say — are
-// returned as taflocerr errors, never panics; only the deprecated
-// legacy constructor NewServiceFromConfig keeps the documented panic.
+// returned as taflocerr errors, never panics.
 func NewService(opts ...ServiceOption) (*Service, error) {
 	var cfg serve.Config
 	for _, o := range opts {

@@ -191,14 +191,6 @@ func NewLayout(links []Segment, grid *Grid, ellipseExcess float64) (*Layout, err
 	return core.NewLayout(links, grid, ellipseExcess)
 }
 
-// NewSystem builds a System from a day-0 full survey.
-//
-// Deprecated: use Open, which takes functional options instead of a
-// positional options struct.
-func NewSystem(layout *Layout, survey *Matrix, vacant []float64, opts SystemOptions) (*System, error) {
-	return core.NewSystem(layout, survey, vacant, opts)
-}
-
 // DefaultSystemOptions returns the configuration used throughout the
 // reproduction.
 func DefaultSystemOptions() SystemOptions { return core.DefaultSystemOptions() }
@@ -239,15 +231,6 @@ func NewModel(layout *Layout, x, observed *Matrix, vacant []float64, refs []int,
 // learning, reference selection) — the warm-start path. States decoded
 // from damaged snapshots fail closed with taflocerr.ErrSnapshotCorrupt.
 func RestoreSystem(st *SystemState) (*System, error) { return core.RestoreSystem(st) }
-
-// BuildSystem surveys dep at day 0 and constructs a System with default
-// options — the one-call quickstart path.
-//
-// Deprecated: use OpenDeployment, which additionally accepts functional
-// options.
-func BuildSystem(dep *Deployment) (*System, error) {
-	return OpenDeployment(dep)
-}
 
 // Baselines.
 type (
@@ -414,15 +397,6 @@ func NewDirStore(dir string) SnapshotStore { return store.NewDir(dir) }
 // survive the process).
 func NewMemStore() SnapshotStore { return store.NewMem() }
 
-// NewServiceFromConfig builds a multi-zone service from a positional
-// configuration struct. It panics on an unknown Config.Detector name —
-// the legacy contract, kept for compatibility.
-//
-// Deprecated: use NewService, which takes functional options
-// (WithZoneQueue, WithDetector, WithZoneFactory, ...) and returns
-// configuration errors instead of panicking.
-func NewServiceFromConfig(cfg ServiceConfig) *Service { return serve.New(cfg) }
-
 // ReportFromWire converts a decoded data-plane frame into a service
 // report.
 func ReportFromWire(r *RSSReport) ZoneReport { return serve.FromWire(r) }
@@ -433,9 +407,10 @@ func ReportFromWire(r *RSSReport) ZoneReport { return serve.FromWire(r) }
 // shedding, and counters identical to HTTP ingest).
 func IngestSink(ing Ingestor, zone string) func([]RSSReport) { return serve.IngestSink(ing, zone) }
 
-// SetWorkers sets the worker count used by the parallel reconstruction
-// and matching kernels and returns the previous setting; n <= 0 restores
-// the GOMAXPROCS-aware default.
+// SetWorkers sets the worker count used by the parallel LoLi-IR
+// reconstruction kernels and returns the previous setting; n <= 0
+// restores the GOMAXPROCS-aware default. Matching always runs on the
+// calling goroutine and does not read it.
 func SetWorkers(n int) int { return mat.SetWorkers(n) }
 
 // Workers returns the effective parallel worker count.
